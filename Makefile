@@ -32,7 +32,7 @@ telemetry:       ## utilization + critical-path report, then verify the golden s
 
 probe:           ## exhaustive crash-point matrix (DESIGN.md section 9), race-enabled
 	$(GO) run -race ./cmd/locusprobe -forensics probe-forensics.txt
-	$(GO) test -race ./internal/crashprobe
+	$(GO) test -race ./internal/crashprobe ./internal/audit
 
 trace:           ## causal timeline of a small cross-site workload + Chrome export
 	$(GO) run ./cmd/locustrace -txns 3

@@ -18,7 +18,7 @@ import (
 // candidate), so every fast path shows up in the counters.  The client
 // is serial and the fault-free schedule fixed, so every I/O counter is
 // deterministic - the CI bench smoke diffs ForcedPerTxn against the
-// committed BENCH_PR5.json.
+// committed BENCH_PR10.json.
 type MixedRow struct {
 	Case         string // "fast-paths off" / "fast-paths on"
 	FastPaths    bool
@@ -186,8 +186,8 @@ func MixedCommit(txns, readShare int, fastPaths bool) (MixedRow, error) {
 }
 
 // MixedSweep runs the mixed workload at each read share, fast paths off
-// then on - the locusbench "mixed" experiment and the body of
-// BENCH_PR5.json.
+// then on - the locusbench "mixed" experiment and a section of
+// BENCH_PR10.json.
 func MixedSweep(txns int, shares []int) ([]MixedRow, error) {
 	var rows []MixedRow
 	for _, share := range shares {

@@ -34,7 +34,7 @@ func TestMixedCommitFastPathSavings(t *testing.T) {
 }
 
 func TestMixedCommitDeterministicIOs(t *testing.T) {
-	// The CI bench smoke diffs ForcedPerTxn against BENCH_PR5.json, so
+	// The CI bench smoke diffs ForcedPerTxn against BENCH_PR10.json, so
 	// the serial workload's I/O counts must not wobble between runs.
 	a, err := MixedCommit(10, 50, true)
 	if err != nil {

@@ -35,7 +35,7 @@ type RepeatRow struct {
 
 // RepeatAccess runs the repeated-access workload once.  The client is
 // serial and fault-free, so every counter is deterministic - the CI
-// bench gate diffs LockMsgsPerTxn against the committed BENCH_PR9.json.
+// bench gate diffs LockMsgsPerTxn against the committed BENCH_PR10.json.
 func RepeatAccess(txns int, leases bool) (RepeatRow, error) {
 	if txns <= 0 {
 		return RepeatRow{}, fmt.Errorf("bench: txns %d out of range", txns)
@@ -126,7 +126,7 @@ func RepeatAccess(txns int, leases bool) (RepeatRow, error) {
 }
 
 // RepeatPair runs the repeated-access workload leases off then on - the
-// locusbench "repeat" experiment and the BENCH_PR9.json body.
+// locusbench "repeat" experiment and a section of BENCH_PR10.json.
 func RepeatPair(txns int) ([]RepeatRow, error) {
 	var rows []RepeatRow
 	for _, leases := range []bool{false, true} {

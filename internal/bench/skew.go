@@ -274,7 +274,7 @@ func onOff(b bool) string {
 
 // SkewSweep runs the experiment's four rows: both access patterns,
 // placement off then on - the locusbench "skew" experiment and the
-// BENCH_PR10.json body.
+// skew section of BENCH_PR10.json.
 func SkewSweep(txnsPerClient int) ([]SkewRow, error) {
 	var rows []SkewRow
 	for _, pat := range []workload.Pattern{workload.Zipfian, workload.ShiftingHotspot} {

@@ -1,238 +1,25 @@
 package chaos
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"strings"
 
-	"repro/internal/core"
-	"repro/internal/fs"
-	"repro/internal/lockmgr"
-	"repro/internal/shadow"
-	"repro/internal/simnet"
-	"repro/internal/tpc"
+	"repro/internal/audit"
 )
 
-// check audits the DESIGN.md section 5 invariants against the
-// fully-recovered cluster.  Order matters: the lock-table scan runs
-// before the content reads, which themselves acquire (and release)
-// locks.
-func (e *engine) check() []CheckResult {
-	return []CheckResult{
-		e.checkResolution(),
-		e.checkLocks(),
-		e.checkAllocators(),
-		e.checkPlacement(),
-		e.checkPairs(),
-		e.checkAccounts(),
-	}
-}
-
-// checkPlacement: whatever ownership moves the heat tracker performed -
-// and wherever a crash or partition cut one short - every workload file
-// must end with exactly one primary copy after recovery, held by the
-// site the catalog names.  A shipped copy whose home flip never
-// committed must be purged on restart; two primaries would let sites
-// serve divergent committed bytes.  With placement off this degenerates
-// to "every file still lives at its mount site", so it runs always.
-func (e *engine) checkPlacement() CheckResult {
+// check audits the fully recovered cluster: the DESIGN.md section 5
+// invariants internal/audit implements, then the workload's own content
+// checks.  Order matters: the lock-table scan runs before the content
+// reads, which themselves acquire (and release) locks.
+func (e *engine) check() []audit.Check {
 	var files []string
 	for _, ps := range e.pairs {
 		files = append(files, ps.pathA, ps.pathB)
 	}
 	files = append(files, e.accounts...)
-	c := CheckResult{Name: "single-primary", Detail: fmt.Sprintf("%d files", len(files))}
-	cl := e.sys.Cluster()
-	for _, path := range files {
-		vol, name, ok := strings.Cut(path, "/")
-		if !ok {
-			c.Violations = append(c.Violations, fmt.Sprintf("%s: path has no volume component", path))
-			continue
-		}
-		home, err := cl.StorageSite(path)
-		if err != nil {
-			c.Violations = append(c.Violations, fmt.Sprintf("%s: no storage site after recovery: %v", path, err))
-			c.Forensics = append(c.Forensics, e.forensics(path)...)
-			continue
-		}
-		var holders []simnet.SiteID
-		for _, id := range cl.Sites() {
-			has, err := cl.Site(id).HasLocalFile(vol, name)
-			if err != nil {
-				c.Violations = append(c.Violations,
-					fmt.Sprintf("%s: scanning site %d for a local copy: %v", path, id, err))
-				continue
-			}
-			if has {
-				holders = append(holders, id)
-			}
-		}
-		if len(holders) != 1 || holders[0] != home {
-			c.Violations = append(c.Violations,
-				fmt.Sprintf("%s: primary copies at sites %v, catalog says %v", path, holders, home))
-			c.Forensics = append(c.Forensics, e.forensics(path)...)
-		}
-	}
-	return c
-}
-
-// checkResolution: after total crash-restart recovery plus resolution,
-// nothing may remain in doubt - no prepared participants awaiting an
-// outcome, no coordinator with phase two outstanding, no residue in any
-// volume's log (section 4.4: prepare and status records are reclaimed
-// once the transaction completes everywhere).
-func (e *engine) checkResolution() CheckResult {
-	c := CheckResult{Name: "resolution", Detail: fmt.Sprintf("%d sites", e.opts.Sites)}
-	cl := e.sys.Cluster()
-	for _, id := range cl.Sites() {
-		s := cl.Site(id)
-		if n := s.InDoubtCount(); n != 0 {
-			c.Violations = append(c.Violations,
-				fmt.Sprintf("site %d: %d transactions still in doubt", id, n))
-		}
-		if coord, err := s.Coordinator(); err == nil {
-			if n := coord.PendingCount(); n != 0 {
-				c.Violations = append(c.Violations,
-					fmt.Sprintf("site %d: coordinator has %d transactions pending phase two", id, n))
-			}
-		}
-		for _, name := range s.Volumes() {
-			vol := s.Volume(name)
-			if recs, err := tpc.ReadPrepareRecords(vol); err != nil {
-				c.Violations = append(c.Violations,
-					fmt.Sprintf("site %d %s: reading prepare records: %v", id, name, err))
-			} else if len(recs) != 0 {
-				c.Violations = append(c.Violations,
-					fmt.Sprintf("site %d %s: %d residual prepare records", id, name, len(recs)))
-			}
-			if keys := vol.Log().Keys(); len(keys) != 0 {
-				c.Violations = append(c.Violations,
-					fmt.Sprintf("site %d %s: log not reclaimed: %v", id, name, keys))
-			}
-		}
-	}
-	return c
-}
-
-// checkLocks: the lock tables must be conflict-free (no two overlapping
-// granted ranges from different groups unless both are shared, section
-// 3.2) - and after full recovery with every transaction resolved they
-// must in fact be empty, since retained locks exist only for live or
-// in-doubt transactions (section 3.3).
-func (e *engine) checkLocks() CheckResult {
-	c := CheckResult{Name: "lock-table", Detail: fmt.Sprintf("%d sites", e.opts.Sites)}
-	cl := e.sys.Cluster()
-	for _, id := range cl.Sites() {
-		lm := cl.Site(id).Locks()
-		for _, fid := range lm.Files() {
-			fl := lm.Lookup(fid)
-			if fl == nil {
-				continue
-			}
-			// Lease entries are site grants, not transaction locks: they
-			// hold no uncommitted state (a conflicting request revokes
-			// them) and by design they overlap the materialized locks of
-			// their own site's transactions, so both scans skip them.
-			all := fl.Entries()
-			entries := all[:0:0]
-			for _, en := range all {
-				if !en.Leased {
-					entries = append(entries, en)
-				}
-			}
-			for _, en := range entries {
-				c.Violations = append(c.Violations,
-					fmt.Sprintf("site %d %s: residual %v lock %s [%d,%d) after recovery",
-						id, fid, en.Mode, en.Holder.Group(), en.Off, en.Off+en.Len))
-			}
-			for i := 0; i < len(entries); i++ {
-				for j := i + 1; j < len(entries); j++ {
-					a, b := entries[i], entries[j]
-					if a.Holder.Group() == b.Holder.Group() {
-						continue
-					}
-					if a.Mode != lockmgr.ModeExclusive && b.Mode != lockmgr.ModeExclusive {
-						continue
-					}
-					if a.Off < b.Off+b.Len && b.Off < a.Off+a.Len {
-						c.Violations = append(c.Violations,
-							fmt.Sprintf("site %d %s: conflicting grants %s %v [%d,%d) vs %s %v [%d,%d)",
-								id, fid,
-								a.Holder.Group(), a.Mode, a.Off, a.Off+a.Len,
-								b.Holder.Group(), b.Mode, b.Off, b.Off+b.Len))
-					}
-				}
-			}
-		}
-	}
-	return c
-}
-
-// checkAllocators: every volume's page allocator must agree with its
-// inodes - each referenced page in range and allocated, no page
-// referenced twice, and no allocated page unreferenced (a commit or
-// recovery that leaked pages would strand them forever).
-func (e *engine) checkAllocators() CheckResult {
-	c := CheckResult{Name: "allocator", Detail: fmt.Sprintf("%d volumes", e.opts.Sites)}
-	cl := e.sys.Cluster()
-	for _, id := range cl.Sites() {
-		s := cl.Site(id)
-		for _, name := range s.Volumes() {
-			vol := s.Volume(name)
-			geo := vol.Geometry()
-			owner := inodeNames(vol)
-			ownerName := func(ino int) string {
-				if n, ok := owner[ino]; ok {
-					return n
-				}
-				return "?"
-			}
-			ref := map[int]int{} // physical page -> referencing inode
-			for _, ino := range vol.Inodes() {
-				node, err := vol.ReadInode(ino)
-				if err != nil {
-					c.Violations = append(c.Violations,
-						fmt.Sprintf("site %d %s ino %d (%s): unreadable after recovery: %v",
-							id, name, ino, ownerName(ino), err))
-					continue
-				}
-				pages := node.Pages
-				if node.Indirect >= 0 {
-					pages = append(append([]int{}, pages...), node.Indirect)
-				}
-				for _, pg := range pages {
-					if pg < 0 {
-						continue // hole
-					}
-					if pg < geo.DataStart || pg >= geo.NumPages {
-						c.Violations = append(c.Violations,
-							fmt.Sprintf("site %d %s ino %d (%s): page %d outside data region [%d,%d)",
-								id, name, ino, ownerName(ino), pg, geo.DataStart, geo.NumPages))
-						continue
-					}
-					if prev, dup := ref[pg]; dup {
-						c.Violations = append(c.Violations,
-							fmt.Sprintf("site %d %s: page %d referenced by both ino %d (%s) and ino %d (%s)",
-								id, name, pg, prev, ownerName(prev), ino, ownerName(ino)))
-					}
-					ref[pg] = ino
-					if !vol.PageAllocated(pg) {
-						c.Violations = append(c.Violations,
-							fmt.Sprintf("site %d %s ino %d (%s): references free page %d",
-								id, name, ino, ownerName(ino), pg))
-					}
-				}
-			}
-			for pg := geo.DataStart; pg < geo.NumPages; pg++ {
-				if _, ok := ref[pg]; !ok && vol.PageAllocated(pg) {
-					c.Violations = append(c.Violations,
-						fmt.Sprintf("site %d %s: page %d allocated but referenced by no inode", id, name, pg))
-				}
-			}
-		}
-	}
-	return c
+	return append(audit.Recovered(e.sys),
+		audit.SinglePrimary(e.sys, files, e.collector),
+		e.checkPairs(),
+		e.checkAccounts())
 }
 
 // checkPairs: each pair worker's two files must be all-or-nothing with
@@ -240,26 +27,27 @@ func (e *engine) checkAllocators() CheckResult {
 // worker actually issued (no phantom writes), no older than the last
 // commit the client was told succeeded (durability of confirmed
 // commits).
-func (e *engine) checkPairs() CheckResult {
-	c := CheckResult{Name: "atomic-pairs", Detail: fmt.Sprintf("%d pairs", len(e.pairs))}
+func (e *engine) checkPairs() audit.Check {
+	c := audit.Check{Name: "atomic-pairs", Detail: fmt.Sprintf("%d pairs", len(e.pairs))}
 	p, err := e.sys.NewProcess(1)
 	if err != nil {
 		c.Violations = append(c.Violations, fmt.Sprintf("audit process: %v", err))
 		return c
 	}
 	for _, ps := range e.pairs {
-		a, errA := readCommitted(p, ps.pathA)
-		b, errB := readCommitted(p, ps.pathB)
+		ba, errA := audit.ReadCommitted(p, ps.pathA)
+		bb, errB := audit.ReadCommitted(p, ps.pathB)
 		if errA != nil || errB != nil {
 			c.Violations = append(c.Violations,
 				fmt.Sprintf("pair %d unreadable: %v / %v", ps.worker, errA, errB))
 			continue
 		}
+		a, b := string(ba), string(bb)
 		if a != b {
 			c.Violations = append(c.Violations,
 				fmt.Sprintf("pair %d torn: %s=%q %s=%q", ps.worker, ps.pathA, a, ps.pathB, b))
-			c.Forensics = append(c.Forensics, e.forensics(ps.pathA)...)
-			c.Forensics = append(c.Forensics, e.forensics(ps.pathB)...)
+			c.Forensics = append(c.Forensics, e.collector.Forensics(ps.pathA)...)
+			c.Forensics = append(c.Forensics, e.collector.Forensics(ps.pathB)...)
 			continue
 		}
 		if a == "" {
@@ -267,7 +55,7 @@ func (e *engine) checkPairs() CheckResult {
 				c.Violations = append(c.Violations,
 					fmt.Sprintf("pair %d empty but commit %d was confirmed to the client",
 						ps.worker, ps.confirmed))
-				c.Forensics = append(c.Forensics, e.forensics(ps.pathA)...)
+				c.Forensics = append(c.Forensics, e.collector.Forensics(ps.pathA)...)
 			}
 			continue
 		}
@@ -276,14 +64,14 @@ func (e *engine) checkPairs() CheckResult {
 			c.Violations = append(c.Violations,
 				fmt.Sprintf("pair %d holds marker %q never issued (attempts %d)",
 					ps.worker, a, ps.attempts))
-			c.Forensics = append(c.Forensics, e.forensics(ps.pathA)...)
+			c.Forensics = append(c.Forensics, e.collector.Forensics(ps.pathA)...)
 			continue
 		}
 		if i < ps.confirmed {
 			c.Violations = append(c.Violations,
 				fmt.Sprintf("pair %d regressed to attempt %d; attempt %d was confirmed committed",
 					ps.worker, i, ps.confirmed))
-			c.Forensics = append(c.Forensics, e.forensics(ps.pathA)...)
+			c.Forensics = append(c.Forensics, e.collector.Forensics(ps.pathA)...)
 		}
 	}
 	return c
@@ -293,8 +81,8 @@ func (e *engine) checkPairs() CheckResult {
 // serializable subset of them committed, the committed balances must
 // still sum to the baseline.  A torn transfer or a lost update shows up
 // as a sum drift.
-func (e *engine) checkAccounts() CheckResult {
-	c := CheckResult{
+func (e *engine) checkAccounts() audit.Check {
+	c := audit.Check{
 		Name:   "balance-conservation",
 		Detail: fmt.Sprintf("%d accounts, sum %d", len(e.accounts), e.total),
 	}
@@ -305,22 +93,23 @@ func (e *engine) checkAccounts() CheckResult {
 	}
 	var sum int64
 	for _, path := range e.accounts {
-		s, err := readCommitted(p, path)
+		b, err := audit.ReadCommitted(p, path)
+		s := string(b)
 		if err != nil {
 			c.Violations = append(c.Violations, fmt.Sprintf("%s unreadable: %v", path, err))
-			c.Forensics = append(c.Forensics, e.forensics(path)...)
+			c.Forensics = append(c.Forensics, e.collector.Forensics(path)...)
 			continue
 		}
 		var v int64
 		if _, err := fmt.Sscanf(s, "%d", &v); err != nil || len(s) != 8 {
 			c.Violations = append(c.Violations,
 				fmt.Sprintf("%s: committed balance %q unparseable", path, s))
-			c.Forensics = append(c.Forensics, e.forensics(path)...)
+			c.Forensics = append(c.Forensics, e.collector.Forensics(path)...)
 			continue
 		}
 		if v < 0 {
 			c.Violations = append(c.Violations, fmt.Sprintf("%s: negative balance %d", path, v))
-			c.Forensics = append(c.Forensics, e.forensics(path)...)
+			c.Forensics = append(c.Forensics, e.collector.Forensics(path)...)
 		}
 		sum += v
 	}
@@ -330,52 +119,4 @@ func (e *engine) checkAccounts() CheckResult {
 				map[bool]string{true: "created", false: "destroyed"}[sum > e.total]))
 	}
 	return c
-}
-
-// inodeNames maps a volume's inodes to the directory names referencing
-// them, so an allocator violation says which files collided.  Inode 0 is
-// the directory itself; unmapped inodes render as "?".
-func inodeNames(vol *fs.Volume) map[int]string {
-	names := map[int]string{0: "<directory>"}
-	f, err := shadow.Open(vol, 0)
-	if err != nil {
-		return names
-	}
-	buf := make([]byte, f.CommittedSize())
-	if len(buf) == 0 {
-		return names
-	}
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return names
-	}
-	dir := map[string]int{}
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&dir); err != nil {
-		return names
-	}
-	for name, ino := range dir {
-		names[ino] = name
-	}
-	return names
-}
-
-// readCommitted returns a file's committed contents via a fresh non-
-// transaction read.
-func readCommitted(p *core.Process, path string) (string, error) {
-	f, err := p.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close() //nolint:errcheck
-	cs, err := f.CommittedSize()
-	if err != nil {
-		return "", err
-	}
-	if cs == 0 {
-		return "", nil
-	}
-	buf := make([]byte, cs)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -51,10 +51,10 @@ type Options struct {
 	// 14) with aggressive policy knobs, so ownership moves and routed
 	// commits fire constantly and interleave with every fault in the
 	// schedule: partitions land mid-move, sites crash holding a shipped
-	// copy whose home flip never committed.  The audit gains a
-	// single-primary check on top of the section 5 invariants: after
-	// recovery every workload file must have exactly one local copy,
-	// stored where the catalog says.
+	// copy whose home flip never committed.  The single-primary check
+	// (run in every mode) then has real moves to audit: after recovery
+	// every workload file must have exactly one local copy, stored
+	// where the catalog says.
 	Placement bool
 	// Vtime runs the whole chaos run on a virtual discrete-event clock
 	// charging the paper's VAX-750 latencies (8ms per message hop, 26ms
@@ -92,24 +92,24 @@ type pairState struct {
 // deterministic for a given (Seed, Duration, Sites, Workers, Faults);
 // Commits/Aborts depend on real scheduling and are reported separately.
 type Result struct {
-	Seed      int64
-	Sites     int
-	Workers   int
+	Seed       int64
+	Sites      int
+	Workers    int
 	Duration   time.Duration
 	FastPaths  bool
 	LockLeases bool
 	Placement  bool
 	Vtime      bool
 	Schedule   Schedule
-	Commits   int64
-	Aborts    int64
+	Commits    int64
+	Aborts     int64
 	// OwnerMoves and RoutedCommits count the placement machinery's
 	// activity over the run (zero unless Options.Placement was set).
 	// Like Commits/Aborts they depend on real scheduling, but under
 	// Vtime they are exact.
 	OwnerMoves    int64
 	RoutedCommits int64
-	Checks    []CheckResult
+	Checks        []audit.Check
 	// SimElapsed is the total simulated time of a Vtime run (zero
 	// otherwise): workload window plus quiesce and recovery.
 	SimElapsed time.Duration
@@ -119,18 +119,6 @@ type Result struct {
 	// scheduling and stay out of the deterministic report body.
 	Profile *telemetry.ProfileReport
 	Metrics telemetry.Snapshot
-}
-
-// CheckResult is one invariant's verdict.
-type CheckResult struct {
-	Name       string   // e.g. "atomic-pairs"
-	Detail     string   // deterministic scope summary, e.g. "3 pairs"
-	Violations []string // empty = PASS
-	// Forensics holds, for each violation, the tail of the causal event
-	// trace touching the offending object: what the transactions that
-	// handled it did, fault injections included.  Empty when the check
-	// passed or the run was untraced.
-	Forensics []string
 }
 
 // OK reports whether every invariant held.
@@ -259,28 +247,6 @@ func (e *engine) stopped() bool {
 	default:
 		return false
 	}
-}
-
-// forensicsDepth bounds how many trailing events a violation report
-// carries per offending object.
-const forensicsDepth = 20
-
-// forensics renders the last events touching object as indented timeline
-// lines, headed by what is being shown.  Nil when nothing touched it.
-func (e *engine) forensics(object string) []string {
-	evs := e.collector.LastTouching(object, forensicsDepth)
-	if len(evs) == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	trace.Timeline(&buf, evs)
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	out := make([]string, 0, len(lines)+1)
-	out = append(out, fmt.Sprintf("forensics: last %d events touching %s:", len(evs), object))
-	for _, l := range lines {
-		out = append(out, "  "+l)
-	}
-	return out
 }
 
 func (e *engine) logf(format string, args ...any) {

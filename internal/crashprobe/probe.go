@@ -18,13 +18,13 @@
 package crashprobe
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/simdisk"
@@ -212,8 +212,9 @@ type workload interface {
 	// run executes the probed transaction; confirmed reports whether
 	// the commit was confirmed to the client.
 	run(h *harness) (confirmed bool)
-	// check audits the committed content after recovery.
-	check(h *harness, confirmed bool) (state string, violations []string)
+	// check audits the committed content after recovery, reading
+	// through p.
+	check(h *harness, p *core.Process, confirmed bool) (state string, violations []string)
 	// cleanup retires auxiliary processes (best effort; after a crash
 	// the site restart has already reaped them).
 	cleanup(h *harness)
@@ -266,24 +267,11 @@ type harness struct {
 
 func volName(i int) string { return fmt.Sprintf("v%d", i) }
 
-// fastPather is implemented by workloads that probe the commit fast
-// paths (DESIGN.md section 10); the harness then enables them.
-type fastPather interface {
-	fastPaths() bool
-}
-
-// leaser is implemented by workloads that probe sticky lock leases
-// (DESIGN.md section 13); the harness then enables them.
-type leaser interface {
-	lockLeases() bool
-}
-
-// placer is implemented by workloads that probe locality-adaptive
-// placement (DESIGN.md section 14); the harness then enables it with
-// aggressive knobs so an ownership move fires after two remote
-// accesses, deterministically inside the probed commit.
-type placer interface {
-	adaptivePlacement() bool
+// configurer is implemented by workloads that probe an optional commit
+// path (fast paths, lock leases, adaptive placement): configure turns it
+// on in the harness's cluster configuration.
+type configurer interface {
+	configure(cfg *cluster.Config)
 }
 
 // diskRef names one disk of the sweep: the volume at a site.  Most
@@ -325,16 +313,8 @@ func newHarness(w workload) (*harness, error) {
 		Trace:           col,
 		Net:             simnet.Config{Seed: 7},
 	}
-	if fp, ok := w.(fastPather); ok && fp.fastPaths() {
-		cfg.FastPaths = true
-	}
-	if lp, ok := w.(leaser); ok && lp.lockLeases() {
-		cfg.LockLeases = true
-	}
-	if pl, ok := w.(placer); ok && pl.adaptivePlacement() {
-		cfg.AdaptivePlacement = true
-		cfg.PlacementMinAccesses = 2
-		cfg.PlacementCooldown = 2
+	if c, ok := w.(configurer); ok {
+		c.configure(&cfg)
 	}
 	sys := core.NewSystem(cfg)
 	h := &harness{sys: sys, collector: col, n: w.sites()}
@@ -367,15 +347,7 @@ func (h *harness) diskAt(ref diskRef) *simdisk.Disk {
 	return vol.Disk()
 }
 
-// stableWrites reads the probe's write counter for site i's disk.
-func (h *harness) stableWrites(i int, kind simdisk.IOKind, useKind bool) int64 {
-	if useKind {
-		return h.disk(i).StableWritesOfKind(kind)
-	}
-	return h.disk(i).StableWrites()
-}
-
-// stableWritesAt is stableWrites for an arbitrary sweep disk ref.
+// stableWritesAt reads the probe's write counter for a sweep disk.
 func (h *harness) stableWritesAt(ref diskRef, kind simdisk.IOKind, useKind bool) int64 {
 	d := h.diskAt(ref)
 	if d == nil {
@@ -452,25 +424,6 @@ func (h *harness) drain() {
 	}
 }
 
-// forensics renders the trace tail touching object, indented for the
-// violation report.
-func (h *harness) forensics(object string) []string {
-	const depth = 20
-	evs := h.collector.LastTouching(object, depth)
-	if len(evs) == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	trace.Timeline(&buf, evs) //nolint:errcheck // bytes.Buffer cannot fail
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	out := make([]string, 0, len(lines)+1)
-	out = append(out, fmt.Sprintf("forensics: last %d events touching %s:", len(evs), object))
-	for _, l := range lines {
-		out = append(out, "  "+l)
-	}
-	return out
-}
-
 // Run executes the sweep the options select.
 func Run(opts Options) (*Result, error) {
 	list, err := selectWorkloads(opts.Workload)
@@ -522,12 +475,7 @@ func sweepWorkload(w workload, opts Options) (*WorkloadResult, error) {
 	h.drain()
 	wr := &WorkloadResult{Workload: w.name()}
 	wr.Baseline = PointResult{Index: -1, Kind: opts.Kind, Confirmed: confirmed}
-	wr.Baseline.State, wr.Baseline.Violations = audit(h, w, confirmed)
-	if len(wr.Baseline.Violations) > 0 && opts.Forensics {
-		for _, path := range w.paths() {
-			wr.Baseline.Forensics = append(wr.Baseline.Forensics, h.forensics(path)...)
-		}
-	}
+	auditPoint(h, w, &wr.Baseline, opts.Forensics)
 	if !confirmed {
 		wr.Baseline.Violations = append(wr.Baseline.Violations,
 			"counting run did not confirm its commit: the workload is broken without any fault")
@@ -594,22 +542,32 @@ func probePoint(w workload, ref diskRef, idx int, kind simdisk.IOKind, useKind b
 	}
 	w.cleanup(h)
 	h.drain()
-	pt.State, pt.Violations = audit(h, w, pt.Confirmed)
-	if len(pt.Violations) > 0 && opts.Forensics {
-		for _, path := range w.paths() {
-			pt.Forensics = append(pt.Forensics, h.forensics(path)...)
-		}
-	}
+	auditPoint(h, w, &pt, opts.Forensics)
 	return pt, nil
 }
 
-// audit runs the generic recovery invariants followed by the workload's
-// content check (in that order: the lock-table scan must precede content
-// reads, which themselves take and release locks).
-func audit(h *harness, w workload, confirmed bool) (string, []string) {
-	violations := checkRecovered(h)
-	state, cv := w.check(h, confirmed)
-	return state, append(violations, cv...)
+// auditPoint fills pt's verdict: the cluster-wide section 5 checks of
+// internal/audit, then the workload's content check (in that order: the
+// lock-table scan must precede content reads, which themselves take and
+// release locks), and, when asked and anything failed, the trace tails
+// of the workload's files.
+func auditPoint(h *harness, w workload, pt *PointResult, forensics bool) {
+	for _, c := range audit.Recovered(h.sys) {
+		pt.Violations = append(pt.Violations, c.Violations...)
+	}
+	if p, err := h.sys.NewProcess(1); err != nil {
+		pt.State = "unreadable"
+		pt.Violations = append(pt.Violations, fmt.Sprintf("audit process: %v", err))
+	} else {
+		state, cv := w.check(h, p, pt.Confirmed)
+		pt.State = state
+		pt.Violations = append(pt.Violations, cv...)
+	}
+	if forensics && len(pt.Violations) > 0 {
+		for _, path := range w.paths() {
+			pt.Forensics = append(pt.Forensics, h.collector.Forensics(path)...)
+		}
+	}
 }
 
 // sampleIndices returns the crash indices to replay for a disk exposing

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/audit"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/simnet"
 )
@@ -71,32 +73,6 @@ func commitFile(p *core.Process, path string, image []byte) error {
 	return p.EndTrans()
 }
 
-// readCommittedPath returns a file's committed contents via a fresh
-// non-transaction read.
-func readCommittedPath(h *harness, path string) ([]byte, error) {
-	p, err := h.sys.NewProcess(1)
-	if err != nil {
-		return nil, err
-	}
-	f, err := p.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //nolint:errcheck
-	cs, err := f.CommittedSize()
-	if err != nil {
-		return nil, err
-	}
-	if cs == 0 {
-		return nil, nil
-	}
-	buf := make([]byte, cs)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // classify names a committed image against the expected before/after
 // states; anything else is an atomicity violation.
 func classify(got, pre, post []byte) string {
@@ -112,8 +88,8 @@ func classify(got, pre, post []byte) string {
 
 // checkAllOrNothing audits one file against pre/post and the confirmed
 // flag; the returned state is "pre" or "post" when the file is intact.
-func checkAllOrNothing(h *harness, path string, pre, post []byte, confirmed bool) (string, []string) {
-	got, err := readCommittedPath(h, path)
+func checkAllOrNothing(p *core.Process, path string, pre, post []byte, confirmed bool) (string, []string) {
+	got, err := audit.ReadCommitted(p, path)
 	if err != nil {
 		return "unreadable", []string{fmt.Sprintf("%s: committed read failed after recovery: %v", path, err)}
 	}
@@ -166,8 +142,8 @@ func (*singleWL) run(h *harness) bool {
 	return p.EndTrans() == nil
 }
 
-func (*singleWL) check(h *harness, confirmed bool) (string, []string) {
-	return checkAllOrNothing(h, "v1/f", preImage, postImage, confirmed)
+func (*singleWL) check(h *harness, p *core.Process, confirmed bool) (string, []string) {
+	return checkAllOrNothing(p, "v1/f", preImage, postImage, confirmed)
 }
 
 func (*singleWL) cleanup(*harness) {}
@@ -239,8 +215,8 @@ func (*diffWL) run(h *harness) bool {
 	return p.EndTrans() == nil
 }
 
-func (w *diffWL) check(h *harness, confirmed bool) (string, []string) {
-	got, err := readCommittedPath(h, "v1/f")
+func (w *diffWL) check(h *harness, p *core.Process, confirmed bool) (string, []string) {
+	got, err := audit.ReadCommitted(p, "v1/f")
 	if err != nil {
 		return "unreadable", []string{fmt.Sprintf("v1/f: committed read failed after recovery: %v", err)}
 	}
@@ -357,9 +333,9 @@ func (*tpcWL) run(h *harness) bool {
 	return p.EndTrans() == nil
 }
 
-func (*tpcWL) check(h *harness, confirmed bool) (string, []string) {
-	sa, va := checkAllOrNothing(h, "v1/f", preImage, postImage, confirmed)
-	sb, vb := checkAllOrNothing(h, "v2/f", preImage, postImage, confirmed)
+func (*tpcWL) check(h *harness, p *core.Process, confirmed bool) (string, []string) {
+	sa, va := checkAllOrNothing(p, "v1/f", preImage, postImage, confirmed)
+	sb, vb := checkAllOrNothing(p, "v2/f", preImage, postImage, confirmed)
 	violations := append(va, vb...)
 	state := sa
 	if sa != sb {
@@ -435,9 +411,9 @@ func (*migrateWL) run(h *harness) bool {
 	return p.EndTrans() == nil
 }
 
-func (*migrateWL) check(h *harness, confirmed bool) (string, []string) {
-	sa, va := checkAllOrNothing(h, "v1/f", preImage, postImage, confirmed)
-	sb, vb := checkAllOrNothing(h, "v2/f", preImage, postImage, confirmed)
+func (*migrateWL) check(h *harness, p *core.Process, confirmed bool) (string, []string) {
+	sa, va := checkAllOrNothing(p, "v1/f", preImage, postImage, confirmed)
+	sb, vb := checkAllOrNothing(p, "v2/f", preImage, postImage, confirmed)
 	violations := append(va, vb...)
 	state := sa
 	if sa != sb {
@@ -458,7 +434,8 @@ type readonlyWL struct{}
 func (*readonlyWL) name() string    { return "readonly" }
 func (*readonlyWL) sites() int      { return 2 }
 func (*readonlyWL) paths() []string { return []string{"v1/f", "v2/f"} }
-func (*readonlyWL) fastPaths() bool { return true }
+
+func (*readonlyWL) configure(cfg *cluster.Config) { cfg.FastPaths = true }
 
 func (*readonlyWL) setup(h *harness) error {
 	p, err := h.sys.NewProcess(1)
@@ -509,11 +486,11 @@ func (*readonlyWL) run(h *harness) bool {
 	return p.EndTrans() == nil
 }
 
-func (*readonlyWL) check(h *harness, confirmed bool) (string, []string) {
-	state, violations := checkAllOrNothing(h, "v1/f", preImage, postImage, confirmed)
+func (*readonlyWL) check(h *harness, p *core.Process, confirmed bool) (string, []string) {
+	state, violations := checkAllOrNothing(p, "v1/f", preImage, postImage, confirmed)
 	// The read-only file must be byte-identical to its baseline at
 	// every crash point: a shared read never changes committed state.
-	got, err := readCommittedPath(h, "v2/f")
+	got, err := audit.ReadCommitted(p, "v2/f")
 	if err != nil {
 		violations = append(violations,
 			fmt.Sprintf("v2/f: committed read failed after recovery: %v", err))
@@ -535,7 +512,8 @@ type onephaseWL struct{}
 func (*onephaseWL) name() string    { return "onephase" }
 func (*onephaseWL) sites() int      { return 2 }
 func (*onephaseWL) paths() []string { return []string{"v1/f"} }
-func (*onephaseWL) fastPaths() bool { return true }
+
+func (*onephaseWL) configure(cfg *cluster.Config) { cfg.FastPaths = true }
 
 func (*onephaseWL) setup(h *harness) error {
 	p, err := h.sys.NewProcess(2)
@@ -570,8 +548,8 @@ func (*onephaseWL) run(h *harness) bool {
 	return p.EndTrans() == nil
 }
 
-func (*onephaseWL) check(h *harness, confirmed bool) (string, []string) {
-	return checkAllOrNothing(h, "v1/f", preImage, postImage, confirmed)
+func (*onephaseWL) check(h *harness, p *core.Process, confirmed bool) (string, []string) {
+	return checkAllOrNothing(p, "v1/f", preImage, postImage, confirmed)
 }
 
 func (*onephaseWL) cleanup(*harness) {}
@@ -590,10 +568,11 @@ type leaseWL struct {
 	confirmed2 bool
 }
 
-func (*leaseWL) name() string     { return "lease" }
-func (*leaseWL) sites() int       { return 2 }
-func (*leaseWL) paths() []string  { return []string{"v2/f"} }
-func (*leaseWL) lockLeases() bool { return true }
+func (*leaseWL) name() string    { return "lease" }
+func (*leaseWL) sites() int      { return 2 }
+func (*leaseWL) paths() []string { return []string{"v2/f"} }
+
+func (*leaseWL) configure(cfg *cluster.Config) { cfg.LockLeases = true }
 
 func (*leaseWL) setup(h *harness) error {
 	// The setup commit runs from site 1 against site 2's file, so it
@@ -650,8 +629,8 @@ func (w *leaseWL) run(h *harness) bool {
 	return confirmed
 }
 
-func (w *leaseWL) check(h *harness, confirmed bool) (string, []string) {
-	got, err := readCommittedPath(h, "v2/f")
+func (w *leaseWL) check(h *harness, p *core.Process, confirmed bool) (string, []string) {
+	got, err := audit.ReadCommitted(p, "v2/f")
 	if err != nil {
 		return "unreadable", []string{fmt.Sprintf("v2/f: committed read failed after recovery: %v", err)}
 	}
@@ -701,10 +680,18 @@ type ownermoveWL struct {
 	confirmed2 bool
 }
 
-func (*ownermoveWL) name() string            { return "ownermove" }
-func (*ownermoveWL) sites() int              { return 2 }
-func (*ownermoveWL) paths() []string         { return []string{"v1/f", "v1/warm"} }
-func (*ownermoveWL) adaptivePlacement() bool { return true }
+func (*ownermoveWL) name() string    { return "ownermove" }
+func (*ownermoveWL) sites() int      { return 2 }
+func (*ownermoveWL) paths() []string { return []string{"v1/f", "v1/warm"} }
+
+// configure turns placement on with aggressive knobs, so an ownership
+// move fires after two remote accesses, deterministically inside the
+// probed commit.
+func (*ownermoveWL) configure(cfg *cluster.Config) {
+	cfg.AdaptivePlacement = true
+	cfg.PlacementMinAccesses = 2
+	cfg.PlacementCooldown = 2
+}
 
 // sweepDisks adds the hosted v1 volume at site 2 - the disk the
 // adoption writes land on.  setup's warm move creates it before any
@@ -817,11 +804,13 @@ func (w *ownermoveWL) run(h *harness) bool {
 	return confirmed
 }
 
-func (w *ownermoveWL) check(h *harness, confirmed bool) (string, []string) {
+func (w *ownermoveWL) check(h *harness, _ *core.Process, confirmed bool) (string, []string) {
 	// Heal pass: restart every site so each runs its foreign-file purge,
 	// then assert single-primary convergence.  (Recovery already
 	// restarted the crashed sites; this makes the garbage-collection
-	// half of the invariant observable at every crash point.)
+	// half of the invariant observable at every crash point.)  The
+	// restarts reap the audit's reader process, so the content reads
+	// go through a fresh one.
 	for i := 1; i <= h.n; i++ {
 		s := h.site(i)
 		if s.Up() {
@@ -832,45 +821,15 @@ func (w *ownermoveWL) check(h *harness, confirmed bool) (string, []string) {
 		}
 	}
 	h.drain()
-
-	var violations []string
-	// Exactly one primary: the namespace resolves each file to one
-	// site, and after the heal pass only that site's v1 volume holds a
-	// local copy.
-	for _, path := range []string{"v1/f", "v1/warm"} {
-		home, err := h.sys.Cluster().StorageSite(path)
-		if err != nil {
-			violations = append(violations, fmt.Sprintf("%s: no resolvable home after heal: %v", path, err))
-			continue
-		}
-		name := path[len("v1/"):]
-		copies := 0
-		for i := 1; i <= h.n; i++ {
-			vol := h.site(i).Volume("v1")
-			if vol == nil {
-				continue
-			}
-			has, err := h.site(i).HasLocalFile("v1", name)
-			if err != nil {
-				violations = append(violations, fmt.Sprintf("%s: local-copy scan at site %d: %v", path, i, err))
-				continue
-			}
-			if has {
-				copies++
-				if simnet.SiteID(i) != home {
-					violations = append(violations,
-						fmt.Sprintf("%s: site %d holds a local copy but the namespace homes it at %v", path, i, home))
-				}
-			}
-		}
-		if copies != 1 {
-			violations = append(violations, fmt.Sprintf("%s: %d local copies after heal, want exactly 1", path, copies))
-		}
+	violations := audit.SinglePrimary(h.sys, w.paths(), nil).Violations
+	p, err := h.sys.NewProcess(1)
+	if err != nil {
+		return "unreadable", append(violations, fmt.Sprintf("audit process after heal: %v", err))
 	}
 
 	// Content: pre -> post -> post2, no torn states, confirmations
 	// monotone.
-	got, err := readCommittedPath(h, "v1/f")
+	got, err := audit.ReadCommitted(p, "v1/f")
 	if err != nil {
 		return "unreadable", append(violations, fmt.Sprintf("v1/f: committed read failed after recovery: %v", err))
 	}
@@ -897,7 +856,7 @@ func (w *ownermoveWL) check(h *harness, confirmed bool) (string, []string) {
 		violations = append(violations,
 			"v1/f: moving commit was confirmed to the client but recovery reverted it")
 	}
-	if warm, err := readCommittedPath(h, "v1/warm"); err != nil || !bytes.Equal(warm, preImage) {
+	if warm, err := audit.ReadCommitted(p, "v1/warm"); err != nil || !bytes.Equal(warm, preImage) {
 		violations = append(violations,
 			fmt.Sprintf("v1/warm: committed bytes damaged by the sweep (err=%v len=%d)", err, len(warm)))
 	}

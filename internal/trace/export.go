@@ -47,6 +47,30 @@ func Timeline(w io.Writer, evs []Event) error {
 	return nil
 }
 
+// forensicsDepth bounds how many trailing events a violation report
+// carries per offending object.
+const forensicsDepth = 20
+
+// Forensics renders the last events touching object (LastTouching) as
+// indented timeline lines headed by what is being shown: the tail the
+// section 5 audits attach to a violation.  Nil when nothing touched it
+// or c is nil.
+func (c *Collector) Forensics(object string) []string {
+	evs := c.LastTouching(object, forensicsDepth)
+	if len(evs) == 0 {
+		return nil
+	}
+	var b strings.Builder
+	Timeline(&b, evs) //nolint:errcheck // strings.Builder cannot fail
+	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
+	out := make([]string, 0, len(lines)+1)
+	out = append(out, fmt.Sprintf("forensics: last %d events touching %s:", len(evs), object))
+	for _, l := range lines {
+		out = append(out, "  "+l)
+	}
+	return out
+}
+
 // chromeEvent is one entry of the Chrome trace_event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
 // loaded by chrome://tracing and Perfetto.

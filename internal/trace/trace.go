@@ -241,9 +241,12 @@ func (t *Tracer) MsgRecv(op, txn string, sent uint64) {
 }
 
 // Events returns the surviving ring contents in site-local emission
-// order.  Safe to call concurrently with Record; an event overwritten
-// mid-scan may appear with a newer sequence, so callers sort/merge by
-// Seq (the Collector does).
+// order (ascending Seq).  Safe to call concurrently with Record; an
+// event overwritten mid-scan may appear with a newer sequence.  Clock
+// order can differ from Seq order here: Record draws the Lamport tick
+// and the sequence number from separate atomics, so concurrent emitters
+// may take them in opposite orders.  The Collector re-sorts the merged
+// rings causally.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -254,7 +257,7 @@ func (t *Tracer) Events() []Event {
 			out = append(out, *ev)
 		}
 	}
-	sortEvents(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
