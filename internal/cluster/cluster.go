@@ -566,8 +566,8 @@ type Site struct {
 	// mu is clock-aware: handleOpen and friends hold it across shadow
 	// reads and forced writes, so under a virtual clock contenders must
 	// park without freezing simulated time.
-	mu       vtime.Mutex
-	up       bool
+	mu vtime.Mutex
+	up bool
 	// epoch counts crashes: goroutines whose work spans a crash boundary
 	// (an inline ownership move on a commit handler) capture it and
 	// refuse state-changing steps once it advances, since every
@@ -581,9 +581,11 @@ type Site struct {
 	prepared map[string]*preparedTxn
 	replicas map[string]*replicaState // read-only replicas held at this site
 
-	// lock cache (section 5.1): fileID -> granted coverage by group.
+	// lock cache (section 5.1): group -> fileID -> granted coverage.
+	// Keying by group makes the end of a transaction or process one
+	// delete.
 	cacheMu   sync.Mutex
-	lockCache map[string][]cachedLock
+	lockCache map[string]map[string][]cachedLock
 
 	// Lock-lease state (DESIGN.md section 13), both halves under one
 	// mutex: leases is the requesting-site cache (fileID -> coverage this
@@ -621,10 +623,9 @@ type Site struct {
 }
 
 type cachedLock struct {
-	group string
-	mode  lockmgr.Mode
-	off   int64
-	len   int64
+	mode lockmgr.Mode
+	off  int64
+	len  int64
 }
 
 // ID returns the site's network identifier.

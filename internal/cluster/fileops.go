@@ -231,7 +231,7 @@ func (s *Site) handleClose(req closeReq) error {
 	}
 	s.mu.Lock()
 	of.refs--
-	if of.refs <= 0 && len(of.file.Owners()) == 0 && len(of.locks.Entries()) == 0 {
+	if of.refs <= 0 && !of.file.HasOwners() && of.locks.Empty() {
 		delete(s.open, req.FileID)
 		s.locks.Drop(req.FileID)
 	}
@@ -577,11 +577,18 @@ func (s *Site) Open(path string) (string, int64, error) {
 	return r.FileID, r.Size, nil
 }
 
-// Close releases one open reference.
+// Close releases one open reference.  A non-transaction process's
+// locks on the file die with the close at the storage site, so its
+// cached coverage here goes too.
 func (s *Site) Close(fileID string, pid int, txn string) error {
 	s.st.Inc(stats.Syscalls)
-	_, err := s.callStorage(fileID, "close", closeReq{FileID: fileID, PID: pid, Txn: txn})
-	return err
+	if _, err := s.callStorage(fileID, "close", closeReq{FileID: fileID, PID: pid, Txn: txn}); err != nil {
+		return err
+	}
+	if txn == "" {
+		s.invalidateCacheFile(Holder(pid, "").Group(), fileID)
+	}
+	return nil
 }
 
 // Sync commits a non-transaction process's modifications immediately.
@@ -727,25 +734,29 @@ func (s *Site) cacheAdd(fileID, group string, mode lockmgr.Mode, off, length int
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	if s.lockCache == nil {
-		s.lockCache = make(map[string][]cachedLock)
+		s.lockCache = make(map[string]map[string][]cachedLock)
 	}
-	s.lockCache[fileID] = append(s.lockCache[fileID], cachedLock{group: group, mode: mode, off: off, len: length})
+	files := s.lockCache[group]
+	if files == nil {
+		files = make(map[string][]cachedLock)
+		s.lockCache[group] = files
+	}
+	files[fileID] = append(files[fileID], cachedLock{mode: mode, off: off, len: length})
 }
 
 func (s *Site) cacheCovers(fileID, group string, mode lockmgr.Mode, off, length int64) bool {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
+	locks := s.lockCache[group][fileID]
 	// Coverage check against the cached ranges: greedy sweep.
 	need := off
 	end := off + length
 	for need < end {
 		advanced := false
-		for _, c := range s.lockCache[fileID] {
-			if c.group == group && c.mode >= mode && c.off <= need && c.off+c.len > need {
-				if c.off+c.len > need {
-					need = c.off + c.len
-					advanced = true
-				}
+		for _, c := range locks {
+			if c.mode >= mode && c.off <= need && c.off+c.len > need {
+				need = c.off + c.len
+				advanced = true
 			}
 		}
 		if !advanced {
@@ -758,20 +769,39 @@ func (s *Site) cacheCovers(fileID, group string, mode lockmgr.Mode, off, length 
 func (s *Site) cacheTrim(fileID, group string, off, length int64) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
+	files := s.lockCache[group]
+	if files == nil {
+		return
+	}
 	var kept []cachedLock
-	for _, c := range s.lockCache[fileID] {
-		if c.group != group || c.off+c.len <= off || off+length <= c.off {
+	for _, c := range files[fileID] {
+		if c.off+c.len <= off || off+length <= c.off {
 			kept = append(kept, c)
 			continue
 		}
 		if c.off < off {
-			kept = append(kept, cachedLock{group: c.group, mode: c.mode, off: c.off, len: off - c.off})
+			kept = append(kept, cachedLock{mode: c.mode, off: c.off, len: off - c.off})
 		}
 		if c.off+c.len > off+length {
-			kept = append(kept, cachedLock{group: c.group, mode: c.mode, off: off + length, len: c.off + c.len - off - length})
+			kept = append(kept, cachedLock{mode: c.mode, off: off + length, len: c.off + c.len - off - length})
 		}
 	}
-	s.lockCache[fileID] = kept
+	s.setCachedLocked(group, fileID, kept)
+}
+
+// setCachedLocked replaces one (group, file) coverage list, pruning
+// empty maps so a group with no coverage left holds no memory.  Caller
+// holds s.cacheMu.
+func (s *Site) setCachedLocked(group, fileID string, locks []cachedLock) {
+	files := s.lockCache[group]
+	if len(locks) > 0 {
+		files[fileID] = locks
+		return
+	}
+	delete(files, fileID)
+	if len(files) == 0 {
+		delete(s.lockCache, group)
+	}
 }
 
 // invalidateCacheGroup removes every cached lock of the group (commit,
@@ -779,13 +809,33 @@ func (s *Site) cacheTrim(fileID, group string, off, length int64) {
 func (s *Site) invalidateCacheGroup(group string) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
-	for fileID, locks := range s.lockCache {
-		var kept []cachedLock
-		for _, c := range locks {
-			if c.group != group {
-				kept = append(kept, c)
-			}
-		}
-		s.lockCache[fileID] = kept
+	delete(s.lockCache, group)
+}
+
+// invalidateCacheFile removes the group's cached locks on one file.
+func (s *Site) invalidateCacheFile(group, fileID string) {
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	if s.lockCache[group] != nil {
+		s.setCachedLocked(group, fileID, nil)
 	}
+}
+
+// DropTxnLockCache forgets the transaction's cached locks at this site.
+// Section 5.1 caches a lock at the requesting site for one transaction
+// only.  A participant drops its entries in finishTxn; a requesting site
+// that stores none of the transaction's files relies on this call, made
+// at every site the transaction ran on once it has ended, committed or
+// aborted.
+func (s *Site) DropTxnLockCache(txid string) {
+	s.invalidateCacheGroup(TxnGroup(txid))
+}
+
+// CachedLockGroups returns how many lock groups hold cached coverage at
+// this site.  Once every transaction and process has finished it is
+// zero.
+func (s *Site) CachedLockGroups() int {
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	return len(s.lockCache)
 }

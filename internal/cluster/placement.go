@@ -241,7 +241,7 @@ func (s *Site) moveFile(path string, target simnet.SiteID) error {
 	s.mu.Unlock()
 	refs := 0
 	if of != nil {
-		if len(of.file.Owners()) > 0 {
+		if of.file.HasOwners() {
 			return nil
 		}
 		if _, err := of.locks.Lock(lockmgr.Request{

@@ -377,7 +377,7 @@ func (s *Site) maybeSyncReplicas(of *openFile) {
 	if !wasUpdating {
 		return
 	}
-	if len(of.file.Owners()) > 0 || len(of.locks.Entries()) > 0 {
+	if of.file.HasOwners() || !of.locks.Empty() {
 		return
 	}
 	s.mu.Lock()

@@ -531,7 +531,7 @@ func (s *Site) finishTxn(txid string, fileIDs []string) error {
 	}
 	s.mu.Lock()
 	for id, of := range s.open {
-		if of.refs <= 0 && len(of.file.Owners()) == 0 && len(of.locks.Entries()) == 0 {
+		if of.refs <= 0 && !of.file.HasOwners() && of.locks.Empty() {
 			delete(s.open, id)
 			s.locks.Drop(id)
 		}

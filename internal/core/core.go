@@ -456,7 +456,19 @@ func (p *Process) EndTrans() error {
 		p.kernel().Procs().ClearTxn(p.pid)
 		p.sys.mu.Lock()
 		delete(p.sys.active, txid)
+		var sites []simnet.SiteID
+		if ts != nil {
+			for id := range ts.sites {
+				sites = append(sites, id)
+			}
+		}
 		p.sys.mu.Unlock()
+		// Cached locks live for one transaction (section 5.1).
+		for _, id := range sites {
+			if s := p.sys.cl.Site(id); s != nil {
+				s.DropTxnLockCache(txid)
+			}
+		}
 	}()
 	if len(files) == 0 {
 		// Nothing locked inside the transaction: trivially committed, and

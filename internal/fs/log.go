@@ -98,6 +98,7 @@ type LogStore struct {
 	mu    vtime.Mutex
 	slots map[string][]int // key -> pages (header first)
 	free  []int            // free log pages, ascending
+	zero  []byte           // read-only zero page for header deletes
 
 	gcMu sync.Mutex
 	gc   *groupCommitter
@@ -110,7 +111,7 @@ func (l *LogStore) setClock(c vtime.Clock) {
 }
 
 func newLogStore(v *Volume) *LogStore {
-	l := &LogStore{v: v, slots: make(map[string][]int)}
+	l := &LogStore{v: v, slots: make(map[string][]int), zero: make([]byte, v.geo.PageSize)}
 	for p := v.geo.LogStart; p < v.geo.LogStart+v.geo.LogPages; p++ {
 		l.free = append(l.free, p)
 	}
@@ -207,12 +208,15 @@ func (l *LogStore) readHeader(page int) (*Record, []int, error) {
 	if len(payload) != payLen {
 		return nil, nil, nil
 	}
-	crc := crc32.ChecksumIEEE(append([]byte(key), payload...))
-	if crc != wantCRC {
+	if recordCRC(key, payload) != wantCRC {
 		return nil, nil, nil
 	}
-	return &Record{Key: key, Kind: kind, Payload: append([]byte(nil), payload...)},
-		append([]int{page}, contPages...), nil
+	return &Record{Key: key, Kind: kind, Payload: payload}, append([]int{page}, contPages...), nil
+}
+
+// recordCRC is the checksum of key followed by payload.
+func recordCRC(key string, payload []byte) uint32 {
+	return crc32.Update(crc32.Update(0, crc32.IEEETable, []byte(key)), crc32.IEEETable, payload)
 }
 
 // pagesNeeded computes header + continuation page count for a record.
@@ -295,8 +299,7 @@ func (l *LogStore) applyPutLocked(key string, kind LogKind, payload []byte, writ
 	keyOff := logHeaderBytes + 4*nCont
 	copy(head[keyOff:], key)
 	crcOff := keyOff + len(key)
-	crc := crc32.ChecksumIEEE(append([]byte(key), payload...))
-	binary.LittleEndian.PutUint32(head[crcOff:], crc)
+	binary.LittleEndian.PutUint32(head[crcOff:], recordCRC(key, payload))
 	headFirst := crcOff + logCRCBytes
 	n := copy(head[headFirst:], payload)
 
@@ -391,8 +394,7 @@ func (l *LogStore) applyDeleteLocked(key string, writes *[]simdisk.PageWrite) {
 	if pages == nil {
 		return
 	}
-	zero := make([]byte, l.v.geo.PageSize)
-	*writes = append(*writes, simdisk.PageWrite{Page: pages[0], Data: zero, Kind: simdisk.IOMeta})
+	*writes = append(*writes, simdisk.PageWrite{Page: pages[0], Data: l.zero, Kind: simdisk.IOMeta})
 	delete(l.slots, key)
 	l.free = append(l.free, pages...)
 	sort.Ints(l.free)

@@ -788,6 +788,15 @@ func (fl *FileLocks) LeaseSites() []int {
 	return out
 }
 
+// Empty reports whether the lock list holds no entry of any kind:
+// granted, retained, non-transaction or lease.  It is the allocation-free
+// form of len(Entries()) == 0.
+func (fl *FileLocks) Empty() bool {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	return len(fl.entries) == 0
+}
+
 // Entries returns a copy of the lock list, sorted by offset then group.
 func (fl *FileLocks) Entries() []EntryInfo {
 	fl.mu.Lock()

@@ -561,3 +561,39 @@ func TestWaiterSkippedOverByCompatibleGrant(t *testing.T) {
 		t.Fatalf("exclusive waiter: %v", err)
 	}
 }
+
+// TestEmptyMatchesEntries checks FileLocks.Empty against the
+// len(Entries()) == 0 test it replaces, for every kind of entry.
+func TestEmptyMatchesEntries(t *testing.T) {
+	check := func(what string, fl *FileLocks, want bool) {
+		t.Helper()
+		if got := fl.Empty(); got != want || got != (len(fl.Entries()) == 0) {
+			t.Fatalf("%s: Empty() = %v, want %v (%d entries)", what, got, want, len(fl.Entries()))
+		}
+	}
+	fl := fileLocks(100)
+	check("fresh file", fl, true)
+
+	// A retained transaction lock is still an entry.
+	mustLock(t, fl, txnA, ModeExclusive, 0, 10)
+	if retained, err := fl.Unlock(txnA, 0, 10); err != nil || !retained {
+		t.Fatalf("unlock = %v, %v; want retained", retained, err)
+	}
+	check("retained lock", fl, false)
+	fl.ReleaseGroup(txnA.Group())
+	check("after ReleaseGroup", fl, true)
+
+	if _, err := fl.Lock(Request{Holder: procP, Mode: ModeShared, Off: 0, Len: 10, NonTxn: true}); err != nil {
+		t.Fatal(err)
+	}
+	check("non-transaction lock", fl, false)
+	fl.ReleaseGroup(procP.Group())
+	check("after non-transaction ReleaseGroup", fl, true)
+
+	if !fl.GrantLease(2, ModeShared, 0, 10) {
+		t.Fatal("grant refused")
+	}
+	check("lease", fl, false)
+	fl.RevokeLease(2)
+	check("after RevokeLease", fl, true)
+}

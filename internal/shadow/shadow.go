@@ -501,22 +501,16 @@ func (f *File) TransferMods(from, to Owner, off, length int64) int {
 	return moved
 }
 
-// Owners returns every owner holding uncommitted modifications.
-func (f *File) Owners() []Owner {
+// HasOwners reports whether any owner holds uncommitted modifications.
+func (f *File) HasOwners() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	set := make(map[Owner]bool)
 	for _, st := range f.pages {
-		for _, m := range st.mods {
-			set[m.owner] = true
+		if len(st.mods) > 0 {
+			return true
 		}
 	}
-	out := make([]Owner, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return false
 }
 
 // HasMods reports whether owner holds uncommitted modifications.

@@ -356,16 +356,23 @@ func TestUncommittedOverlappingAndTransfer(t *testing.T) {
 	}
 }
 
-func TestOwnersEnumeration(t *testing.T) {
+func TestHasOwners(t *testing.T) {
 	_, f := newFile(t)
-	if got := f.Owners(); len(got) != 0 {
-		t.Fatalf("fresh file owners = %v", got)
+	if f.HasOwners() {
+		t.Fatal("fresh file has owners")
 	}
 	_, _ = f.WriteAt("b", []byte("x"), 0)
 	_, _ = f.WriteAt("a", []byte("y"), 10)
-	got := f.Owners()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("owners = %v", got)
+	for _, o := range []Owner{"a", "b"} {
+		if !f.HasOwners() {
+			t.Fatalf("owner %s still uncommitted, HasOwners false", o)
+		}
+		if err := f.Commit(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.HasOwners() {
+		t.Fatal("every owner committed, HasOwners still true")
 	}
 }
 

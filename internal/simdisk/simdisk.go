@@ -299,9 +299,13 @@ func (d *Disk) WritePage(page int, data []byte, kind IOKind, sync bool) error {
 		return fmt.Errorf("%w: got %d want %d on %s page %d", ErrBadSize, len(data), d.pageSize, d.name, page)
 	}
 	if !sync {
-		buf := make([]byte, d.pageSize)
-		copy(buf, data)
-		d.volatile[page] = buf
+		// Reads hand out copies, so an unflushed buffer is the disk's
+		// alone and a rewrite can land in it.
+		if buf, ok := d.volatile[page]; ok {
+			copy(buf, data)
+			return nil
+		}
+		d.volatile[page] = append([]byte(nil), data...)
 		return nil
 	}
 	if err := d.force(); err != nil {
@@ -407,9 +411,14 @@ func (d *Disk) writeStableLocked(page int, data []byte, kind IOKind) error {
 			d.crashAfter--
 		}
 	}
-	buf := make([]byte, d.pageSize)
-	copy(buf, data)
-	d.stable[page] = buf
+	// Stable images never leave the disk (reads return copies), so an
+	// overwrite lands in place.  A fault tripped above returns before
+	// this point, leaving the previous image intact.
+	if buf := d.stable[page]; buf != nil {
+		copy(buf, data)
+	} else {
+		d.stable[page] = append([]byte(nil), data...)
+	}
 	delete(d.volatile, page)
 	d.writes++
 	d.kindWrites[kind]++

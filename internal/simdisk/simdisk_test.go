@@ -487,3 +487,108 @@ func TestCrashAfterWritesOfKind(t *testing.T) {
 		t.Fatalf("plain re-arm should hit any kind, got %v", err)
 	}
 }
+
+// ---- in-place overwrites ----
+
+// TestOverwriteLeavesReturnedPagesAlone checks that pages handed out by
+// ReadPage and ReadStable, and the caller's buffers passed to WritePage
+// and WritePages, are never the disk's own: later overwrites, which land
+// in place, do not reach them.
+func TestOverwriteLeavesReturnedPagesAlone(t *testing.T) {
+	d := New("d0", 8, 64, stats.NewSet())
+	for _, sync := range []bool{true, false} {
+		first := page(d, 0x11)
+		if err := d.WritePage(2, first, IOData, sync); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.WritePages([]PageWrite{{Page: 3, Data: first, Kind: IOData}}); err != nil {
+			t.Fatal(err)
+		}
+		read, _ := d.ReadPage(2, IOData)
+		stable, _ := d.ReadStable(3, IOData)
+		for _, overwrite := range []bool{sync, true} {
+			if err := d.WritePage(2, page(d, 0x22), IOData, overwrite); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := d.WritePages([]PageWrite{{Page: 3, Data: page(d, 0x33), Kind: IOData}}); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string][]byte{"ReadPage": read, "ReadStable": stable, "caller buffer": first} {
+			if !bytes.Equal(b, page(d, 0x11)) {
+				t.Fatalf("sync=%v: %s changed by a later overwrite", sync, name)
+			}
+		}
+		// The caller reusing its buffer must not reach the disk either.
+		copy(first, page(d, 0x44))
+		if got, _ := d.ReadPage(2, IOData); !bytes.Equal(got, page(d, 0x22)) {
+			t.Fatalf("sync=%v: caller's buffer write reached page 2", sync)
+		}
+		if got, _ := d.ReadStable(3, IOData); !bytes.Equal(got, page(d, 0x33)) {
+			t.Fatalf("sync=%v: caller's buffer write reached page 3", sync)
+		}
+	}
+}
+
+// TestTrippedOverwriteKeepsPreviousImage checks that a crash fault
+// tripping on an overwrite leaves the previous stable image byte for
+// byte, for both fault forms and every write path.
+func TestTrippedOverwriteKeepsPreviousImage(t *testing.T) {
+	arms := map[string]func(d *Disk){
+		"CrashAfterWrites":       func(d *Disk) { d.CrashAfterWrites(0) },
+		"CrashAfterWritesOfKind": func(d *Disk) { d.CrashAfterWritesOfKind(IOInode, 0) },
+	}
+	writes := map[string]func(d *Disk, data []byte) error{
+		"WritePage": func(d *Disk, data []byte) error { return d.WritePage(1, data, IOInode, true) },
+		"WritePages": func(d *Disk, data []byte) error {
+			_, err := d.WritePages([]PageWrite{{Page: 1, Data: data, Kind: IOInode}})
+			return err
+		},
+		"FlushPage": func(d *Disk, data []byte) error {
+			if err := d.WritePage(1, data, IOInode, false); err != nil {
+				return err
+			}
+			return d.FlushPage(1, IOInode)
+		},
+	}
+	for an, arm := range arms {
+		for wn, write := range writes {
+			d := New("d0", 4, 64, stats.NewSet())
+			old := page(d, 0)
+			for i := range old {
+				old[i] = byte(i)
+			}
+			if err := d.WritePage(1, old, IOInode, true); err != nil {
+				t.Fatal(err)
+			}
+			arm(d)
+			if err := write(d, page(d, 0xEE)); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("%s/%s: tripped overwrite returned %v", an, wn, err)
+			}
+			d.Restart()
+			got, err := d.ReadStable(1, IOInode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, old) {
+				t.Fatalf("%s/%s: previous stable image damaged by the tripped overwrite", an, wn)
+			}
+		}
+	}
+}
+
+func TestSyncOverwriteAllocatesNothing(t *testing.T) {
+	d := New("d0", 4, 1024, stats.NewSet())
+	data := page(d, 0x5A)
+	if err := d.WritePage(2, data, IOData, true); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := d.WritePage(2, data, IOData, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("synchronous overwrite allocated %v times per call, want 0", allocs)
+	}
+}

@@ -162,9 +162,9 @@ type Network struct {
 	// quiescent instant has traffic on.
 	transitNS *telemetry.Counter
 
-	mu   sync.Mutex
-	cfg  Config
-	rng  *rand.Rand
+	mu  sync.Mutex
+	cfg Config
+	rng *rand.Rand
 	// seed is the resolved Config.Seed; backoffFor hashes it per call so
 	// retry jitter never draws from the shared rng stream (whose draw
 	// order depends on goroutine interleaving under the real clock).
